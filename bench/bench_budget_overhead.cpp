@@ -1,8 +1,8 @@
 // Overhead of the resource-governance layer on the symbolic hot path:
 // train-gate reachability with (a) no budget (the amortized poll is skipped
 // entirely), (b) an active but generous budget (deadline + memory ceiling
-// polled every core::kBudgetPollStride expansions), and (c) a watchdog-only
-// budget (cancel token observed by the poll, deadline watched by a thread).
+// polled every core::kBudgetPollStride expansions), and (c) a cancel-token
+// budget (the token observed by the same amortized poll).
 // Acceptance: the governed run stays within ~2% of the ungoverned one.
 #include <chrono>
 #include <cstdio>

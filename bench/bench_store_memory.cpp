@@ -105,8 +105,8 @@ int run_governed(int n, std::size_t mem_bytes, const std::string& spill) {
   // The pool evicts at a sixteenth of the ceiling: row interning keeps the
   // resident payload small relative to the search's own bookkeeping (waiting
   // queue, hash table, covered journal), so a tighter pool ceiling is what
-  // actually pushes chunks through the spill tier while the budget the
-  // watchdog enforces still has ample headroom.
+  // actually pushes chunks through the spill tier while the memory budget
+  // the search polls still has ample headroom.
   if (!spill.empty()) {
     ::setenv("QUANTA_STORE_SPILL", spill.c_str(), 1);
     ::setenv("QUANTA_STORE_MEM", std::to_string(mem_bytes / 16).c_str(), 1);

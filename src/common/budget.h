@@ -1,10 +1,10 @@
 // common::Budget — the shared resource envelope of every analysis entry
 // point: a wall-clock deadline, a memory ceiling (fed by the byte accounting
-// of core::StateStore), and a cooperative CancelToken unified with the
-// src/exec cancellation path. Engines poll the budget amortized (every N
-// expansions in core::explore, per batch/iteration in the statistical and
-// numeric engines) and degrade to a kUnknown verdict carrying the
-// StopReason; they never crash on an exhausted budget.
+// of core::StateStore), and a cooperative CancelToken. Engines poll the
+// budget synchronously — every N expansions in core::explore, before every
+// run in the exec executor that carries the statistical engines, per
+// iteration in the numeric engines — and degrade to a kUnknown verdict
+// carrying the StopReason; they never crash on an exhausted budget.
 #pragma once
 
 #include <atomic>
@@ -22,20 +22,17 @@
 namespace quanta::common {
 
 /// Cooperative cancellation flag shared between a budget's owner and its
-/// consumers (engines, the exec thread pool, the watchdog). Consumers poll
-/// it between units of work; cancellation is advisory — work already inside
-/// a unit runs to the next poll point. exec::CancellationToken is an alias
-/// of this class, so one token cancels a symbolic search and a statistical
-/// executor job alike.
+/// consumers (the symbolic engines, the exec executor). Consumers poll it
+/// through Budget::poll between units of work; cancellation is advisory —
+/// work already inside a unit runs to the next poll point. It is the one
+/// cancellation type of the toolkit: one token cancels a symbolic search
+/// and a statistical executor job alike.
 ///
 /// Ownership: the token belongs to whoever created it, and it is sticky —
-/// nothing in the toolkit ever resets a caller's token (engines and
-/// exec::Watchdog only read or set it). A token left cancelled by run N
-/// therefore stops run N+1 at its very first poll; callers reusing a token
-/// across governed runs (e.g. a checkpoint/resume pair) must reset() it
-/// between runs. Engines that need an internal cancellation source (the
-/// watchdog's firing target in src/smc) create a fresh token per call
-/// precisely so that this footgun cannot arise internally.
+/// nothing in the toolkit ever resets a caller's token (engines only read
+/// it). A token left cancelled by run N therefore stops run N+1 at its very
+/// first poll; callers reusing a token across governed runs (e.g. a
+/// checkpoint/resume pair) must reset() it between runs.
 class CancelToken {
  public:
   void cancel() noexcept { flag_.store(true, std::memory_order_relaxed); }

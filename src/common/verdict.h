@@ -19,7 +19,7 @@ enum class StopReason {
   kStateLimit,   ///< SearchLimits::max_states (or run/iteration cap) reached
   kTimeLimit,    ///< Budget wall-clock deadline passed
   kMemoryLimit,  ///< Budget memory ceiling exceeded (or allocation failed)
-  kCancelled,    ///< the CancelToken fired (user / watchdog cancellation)
+  kCancelled,    ///< the CancelToken fired (user or daemon cancellation)
   kFault,        ///< an injected or internal fault was absorbed (QUANTA_FAULT)
 };
 

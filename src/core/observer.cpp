@@ -1,8 +1,13 @@
 #include "core/observer.h"
 
 #include <cstdio>
+#include <thread>
 
 namespace quanta::core {
+
+void PacingObserver::on_state_explored(std::int32_t /*id*/) {
+  std::this_thread::sleep_for(std::chrono::microseconds(us_));
+}
 
 void StatsObserver::on_state_stored(std::int32_t /*id*/,
                                     std::size_t total_stored) {

@@ -26,6 +26,23 @@ class ExplorationObserver {
                               const StoreMetrics& /*metrics*/) {}
 };
 
+/// Debug pacing: sleeps `us` microseconds per explored state, stretching a
+/// search to human / CI timescales so a deadline, a SIGKILL or a checkpoint
+/// lands mid-run. Used by the daemon's throttle_us knob and ckpt_smoke.
+class PacingObserver final : public ExplorationObserver {
+ public:
+  explicit PacingObserver(std::uint64_t us) : us_(us) {}
+
+  void on_state_explored(std::int32_t id) override;
+
+  /// The observer to hand an engine: nullptr when no pacing was asked for,
+  /// so an unpaced run pays no per-state call.
+  ExplorationObserver* or_null() { return us_ != 0 ? this : nullptr; }
+
+ private:
+  std::uint64_t us_;
+};
+
 /// Ready-made observer collecting throughput and occupancy figures:
 /// states/second, peak stored states, and the store's bucket metrics.
 class StatsObserver final : public ExplorationObserver {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/env.h"
+#include "common/fault.h"
 
 namespace quanta::exec {
 
@@ -73,12 +74,14 @@ void ThreadPool::drain(unsigned id) {
   const ChunkFn& body = *body_;
   for (;;) {
     if (abort_.load(std::memory_order_relaxed)) return;
-    if (cancel_ && cancel_->cancelled()) return;
     std::uint64_t b, e;
     if (!claim(&b, &e)) return;
     try {
       common::FaultInjector::site("exec.thread_pool.chunk");
-      body(b, e, id);
+      if (!body(b, e, id)) {
+        abort_.store(true, std::memory_order_relaxed);
+        return;
+      }
     } catch (...) {
       abort_.store(true, std::memory_order_relaxed);
       std::lock_guard<std::mutex> lk(mu_);
@@ -90,7 +93,6 @@ void ThreadPool::drain(unsigned id) {
 
 void ThreadPool::parallel_chunks(std::uint64_t begin, std::uint64_t end,
                                  const ChunkFn& body,
-                                 CancellationToken* cancel,
                                  std::uint64_t min_chunk) {
   if (begin >= end) return;
   std::lock_guard<std::mutex> job_lock(job_mu_);
@@ -99,7 +101,6 @@ void ThreadPool::parallel_chunks(std::uint64_t begin, std::uint64_t end,
     body_ = &body;
     end_ = end;
     min_chunk_ = std::max<std::uint64_t>(1, min_chunk);
-    cancel_ = cancel;
     cursor_.store(begin, std::memory_order_relaxed);
     abort_.store(false, std::memory_order_relaxed);
     error_ = nullptr;

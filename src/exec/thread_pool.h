@@ -17,20 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/budget.h"
-
 namespace quanta::exec {
-
-/// Cooperative cancellation flag shared between the scheduler and its
-/// consumers. Workers poll it between chunks (and the Executor between
-/// individual runs); outstanding chunks that were never claimed are simply
-/// abandoned. Cancellation is advisory: work already inside the body runs to
-/// the next poll point.
-///
-/// This is the one cancellation type of the whole toolkit: the same token
-/// lives inside common::Budget, so a watchdog (exec/watchdog.h) or a user
-/// cancels a symbolic search and a statistical executor job alike.
-using CancellationToken = common::CancelToken;
 
 /// Worker count picked by the QUANTA_JOBS environment variable when it holds
 /// a whole positive decimal number (clamped to 1024); anything else — unset,
@@ -41,7 +28,8 @@ unsigned default_worker_count();
 class ThreadPool {
  public:
   /// body(chunk_begin, chunk_end, worker_id): processes one claimed chunk.
-  using ChunkFn = std::function<void(std::uint64_t, std::uint64_t, unsigned)>;
+  /// Returning false stops the job: no worker claims another chunk.
+  using ChunkFn = std::function<bool(std::uint64_t, std::uint64_t, unsigned)>;
 
   /// 0 workers means default_worker_count(). A pool of n workers owns n-1
   /// background threads; the caller of parallel_chunks is worker 0.
@@ -54,13 +42,11 @@ class ThreadPool {
 
   /// Runs `body` over [begin, end) split into dynamically-sized chunks.
   /// Blocks until every claimed chunk finished. If a body throws, the first
-  /// exception is rethrown here and the remaining chunks are abandoned; if
-  /// `cancel` fires, workers stop claiming new chunks. Concurrent callers are
-  /// serialized (the pool runs one job at a time).
+  /// exception is rethrown here and the remaining chunks are abandoned; if a
+  /// body returns false, the remaining chunks are abandoned silently.
+  /// Concurrent callers are serialized (the pool runs one job at a time).
   void parallel_chunks(std::uint64_t begin, std::uint64_t end,
-                       const ChunkFn& body,
-                       CancellationToken* cancel = nullptr,
-                       std::uint64_t min_chunk = 1);
+                       const ChunkFn& body, std::uint64_t min_chunk = 1);
 
  private:
   void worker_loop(unsigned id);
@@ -83,9 +69,8 @@ class ThreadPool {
   const ChunkFn* body_ = nullptr;
   std::uint64_t end_ = 0;
   std::uint64_t min_chunk_ = 1;
-  CancellationToken* cancel_ = nullptr;
   std::atomic<std::uint64_t> cursor_{0};
-  std::atomic<bool> abort_{false};  ///< set on exception; stops all workers
+  std::atomic<bool> abort_{false};  ///< set on exception or stop; stops all
 
   std::mutex job_mu_;  ///< serializes parallel_chunks callers
 };

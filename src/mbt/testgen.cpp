@@ -72,7 +72,7 @@ std::vector<TestCase> generate_suite(const Lts& spec, std::size_t n,
         ctx.telemetry->sim_steps += tc.nodes.size();
         suite[static_cast<std::size_t>(i)] = std::move(tc);
       },
-      /*cancel=*/nullptr, telemetry);
+      /*budget=*/{}, telemetry);
   return suite;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "exec/watchdog.h"
 #include "smc/validate.h"
 #include "smc/worker_sim.h"
 
@@ -20,17 +19,15 @@ HitTimesResult sample_hit_times(const ta::System& sys,
       [&] {
         const common::RngStream streams(seed);
         internal::WorkerSims sims(sys, ex.workers());
-        exec::CancellationToken cancel;
-        exec::Watchdog watchdog(budget, cancel);
 
         // Keyed by run index (each slot written by exactly one worker), then
         // compacted in index order: the series is identical for every worker
         // count. kSkipped marks runs the executor never reached after a
-        // cancellation — distinct from kMiss, a completed unsatisfied run.
+        // budget stop — distinct from kMiss, a completed unsatisfied run.
         constexpr double kMiss = -1.0;
         constexpr double kSkipped = -2.0;
         std::vector<double> per_run(runs, kSkipped);
-        ex.for_each(
+        const common::StopReason stop = ex.for_each(
             0, runs,
             [&](std::uint64_t i, exec::Executor::WorkerContext& ctx) {
               Simulator& sim = sims.at(ctx.worker_id);
@@ -44,7 +41,7 @@ HitTimesResult sample_hit_times(const ta::System& sys,
                 per_run[static_cast<std::size_t>(i)] = kMiss;
               }
             },
-            &cancel, telemetry);
+            budget, telemetry);
 
         HitTimesResult result;
         result.runs = runs;
@@ -54,10 +51,9 @@ HitTimesResult sample_hit_times(const ta::System& sys,
           ++result.completed;
           if (t != kMiss) result.times.push_back(t);
         }
-        if (result.completed == runs) {
+        result.stop = stop;
+        if (stop == common::StopReason::kCompleted) {
           result.verdict = common::Verdict::kHolds;
-        } else {
-          result.stop = watchdog.fired_reason();
         }
         return result;
       },

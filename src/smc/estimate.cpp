@@ -6,7 +6,6 @@
 #include "ckpt/snapshot_ta.h"
 #include "common/fault.h"
 #include "common/stats.h"
-#include "exec/watchdog.h"
 #include "smc/validate.h"
 #include "smc/worker_sim.h"
 
@@ -18,10 +17,10 @@ namespace {
 /// tally (requested runs, completed runs, hits).
 constexpr std::uint32_t kSecSmcTally = 1;
 
-/// Batch granularity of the checkpointing path. Batches bound both how much
-/// work a crash can lose and how stale a budget stop can be (the budget is
-/// polled between batches in addition to the watchdog).
-constexpr std::size_t kCkptBatch = 1024;
+/// Batch granularity of the sampling loop. A batch is the unit a checkpoint
+/// records and the unit a budget stop discards, so it bounds how much work a
+/// crash or a stop can lose.
+constexpr std::size_t kBatch = 1024;
 
 std::uint64_t estimate_fingerprint(const ta::System& sys,
                                    const TimeBoundedReach& prop,
@@ -52,11 +51,12 @@ void finish_estimate(Estimate* est, double alpha) {
   }
 }
 
-/// The checkpointing path: simulate in fixed batches of consecutive run
+/// The one sampling loop: simulate in fixed batches of consecutive run
 /// indices so that any stop leaves a prefix-contiguous tally. A batch the
-/// watchdog cancelled mid-air is discarded (re-simulated on resume) —
-/// partial batches would record "which runs finished", which depends on
-/// scheduling and would break bit-reproducibility.
+/// budget stopped mid-air is discarded (re-simulated on resume) — partial
+/// batches would record "which runs finished", which depends on scheduling
+/// and would break bit-reproducibility. With checkpointing off nothing is
+/// loaded or saved.
 Estimate estimate_batched(const ta::System& sys, const TimeBoundedReach& prop,
                           std::size_t runs, double alpha, std::uint64_t seed,
                           exec::Executor& ex, exec::RunTelemetry* telemetry,
@@ -64,17 +64,18 @@ Estimate estimate_batched(const ta::System& sys, const TimeBoundedReach& prop,
                           const ckpt::Options& checkpoint) {
   const common::RngStream streams(seed);
   internal::WorkerSims sims(sys, ex.workers());
-  exec::CancellationToken cancel;
-  exec::Watchdog watchdog(budget, cancel);
 
   Estimate est;
   est.runs = runs;
   est.resume.path = checkpoint.path;
-  const std::uint64_t fp = estimate_fingerprint(sys, prop, runs, alpha, seed);
+  const std::uint64_t fp =
+      checkpoint.enabled()
+          ? estimate_fingerprint(sys, prop, runs, alpha, seed)
+          : 0;
 
   std::uint64_t done = 0;
   std::uint64_t hits = 0;
-  if (checkpoint.resume) {
+  if (checkpoint.enabled() && checkpoint.resume) {
     ckpt::Snapshot snap;
     est.resume.load = ckpt::load(checkpoint.path, fp,
                                  ckpt::Provider::kStatistical, &snap);
@@ -110,45 +111,36 @@ Estimate estimate_batched(const ta::System& sys, const TimeBoundedReach& prop,
     if (ckpt::save(checkpoint.path, snap)) est.resume.saved = true;
   };
 
-  struct Tally {
-    std::uint64_t hits = 0;
-    std::uint64_t completed = 0;
-  };
-  const std::uint64_t interval = checkpoint.effective_interval();
+  const std::uint64_t interval =
+      checkpoint.enabled() ? checkpoint.effective_interval() : 0;
   std::uint64_t runs_since_save = 0;
   while (done < runs) {
+    // A kDeadline fault here trips the executor's first budget poll.
     common::FaultInjector::site("smc.estimate.batch");
-    const common::StopReason boundary = budget.poll(0);
-    if (boundary != common::StopReason::kCompleted) {
-      est.stop = boundary;
-      break;
-    }
-    const std::uint64_t batch = std::min<std::uint64_t>(kCkptBatch, runs - done);
-    Tally t = exec::parallel_reduce(
-        ex, done, done + batch, Tally{},
-        [&](Tally& acc, std::uint64_t i, exec::Executor::WorkerContext& ctx) {
+    const std::uint64_t batch = std::min<std::uint64_t>(kBatch, runs - done);
+    common::StopReason stop = common::StopReason::kCompleted;
+    const std::uint64_t batch_hits = exec::parallel_reduce(
+        ex, done, done + batch, std::uint64_t{0},
+        [&](std::uint64_t& acc, std::uint64_t i,
+            exec::Executor::WorkerContext& ctx) {
           Simulator& sim = sims.at(ctx.worker_id);
           sim.reseed(streams.seed_for(i));
           RunResult r = sim.run(prop);
-          ++acc.completed;
           ctx.telemetry->sim_steps += r.steps;
           if (r.satisfied) {
-            ++acc.hits;
+            ++acc;
             ++ctx.telemetry->hits;
           }
         },
-        [](Tally& out, Tally&& in) {
-          out.hits += in.hits;
-          out.completed += in.completed;
-        },
-        &cancel, telemetry);
-    if (t.completed < batch) {
-      // Cancelled mid-batch: drop the partial tally, keep the prefix.
-      est.stop = watchdog.fired_reason();
+        [](std::uint64_t& out, std::uint64_t&& in) { out += in; },
+        budget, telemetry, &stop);
+    if (stop != common::StopReason::kCompleted) {
+      // Stopped mid-batch: drop the partial tally, keep the prefix.
+      est.stop = stop;
       break;
     }
     done += batch;
-    hits += t.hits;
+    hits += batch_hits;
     if (interval > 0) {
       runs_since_save += batch;
       if (runs_since_save >= interval) {
@@ -160,7 +152,9 @@ Estimate estimate_batched(const ta::System& sys, const TimeBoundedReach& prop,
 
   est.completed = done;
   est.hits = hits;
-  if (done < runs && checkpoint.save_on_stop) save_ckpt();
+  if (done < runs && checkpoint.enabled() && checkpoint.save_on_stop) {
+    save_ckpt();
+  }
   finish_estimate(&est, alpha);
   return est;
 }
@@ -176,76 +170,16 @@ Estimate estimate_probability_runs(const ta::System& sys,
                                    const ckpt::Options& checkpoint) {
   internal::require_unit_open("smc.estimate_probability_runs", "alpha", alpha);
   internal::require_positive("smc.estimate_probability_runs", "runs", runs);
-  if (checkpoint.enabled()) {
-    return common::governed(
-        [&] {
-          return estimate_batched(sys, prop, runs, alpha, seed, ex, telemetry,
-                                  budget, checkpoint);
-        },
-        [runs, &checkpoint](common::StopReason r) {
-          Estimate est;
-          est.runs = runs;
-          est.stop = r;
-          est.resume.path = checkpoint.path;
-          return est;
-        });
-  }
   return common::governed(
       [&] {
-        const common::RngStream streams(seed);
-        internal::WorkerSims sims(sys, ex.workers());
-        // The watchdog turns the passive budget into cancellation: it fires
-        // this internal token, which the executor polls between runs.
-        exec::CancellationToken cancel;
-        exec::Watchdog watchdog(budget, cancel);
-
-        struct Tally {
-          std::uint64_t hits = 0;
-          std::uint64_t completed = 0;
-        };
-        Tally total = exec::parallel_reduce(
-            ex, 0, runs, Tally{},
-            [&](Tally& acc, std::uint64_t i,
-                exec::Executor::WorkerContext& ctx) {
-              Simulator& sim = sims.at(ctx.worker_id);
-              sim.reseed(streams.seed_for(i));
-              RunResult r = sim.run(prop);
-              ++acc.completed;
-              ctx.telemetry->sim_steps += r.steps;
-              if (r.satisfied) {
-                ++acc.hits;
-                ++ctx.telemetry->hits;
-              }
-            },
-            [](Tally& out, Tally&& in) {
-              out.hits += in.hits;
-              out.completed += in.completed;
-            },
-            &cancel, telemetry);
-
-        Estimate est;
-        est.runs = runs;
-        est.completed = total.completed;
-        est.hits = total.hits;
-        if (est.completed == runs) {
-          est.verdict = common::Verdict::kHolds;
-        } else {
-          est.stop = watchdog.fired_reason();
-        }
-        if (est.completed > 0) {
-          est.p_hat = static_cast<double>(est.hits) /
-                      static_cast<double>(est.completed);
-          auto [lo, hi] =
-              common::clopper_pearson(est.hits, est.completed, alpha);
-          est.ci_low = lo;
-          est.ci_high = hi;
-        }
-        return est;
+        return estimate_batched(sys, prop, runs, alpha, seed, ex, telemetry,
+                                budget, checkpoint);
       },
-      [runs](common::StopReason r) {
+      [runs, &checkpoint](common::StopReason r) {
         Estimate est;
         est.runs = runs;
         est.stop = r;
+        est.resume.path = checkpoint.path;
         return est;
       });
 }

@@ -8,7 +8,6 @@
 #include "ckpt/io.h"
 #include "ckpt/snapshot_ta.h"
 #include "common/fault.h"
-#include "exec/watchdog.h"
 #include "smc/validate.h"
 #include "smc/worker_sim.h"
 
@@ -72,11 +71,9 @@ SprtResult sprt_test_impl(const ta::System& sys, const TimeBoundedReach& prop,
   const std::size_t batch = opts.batch_size > 0 ? opts.batch_size : 128;
   const common::RngStream streams(seed);
   internal::WorkerSims sims(sys, ex.workers());
-  exec::CancellationToken cancel;
-  exec::Watchdog watchdog(budget, cancel);
 
   // Outcome slots per batch, keyed by run index. kNotRun marks runs the
-  // executor skipped after a budget cancellation — they must not enter the
+  // executor skipped after a budget stop — they must not enter the
   // log-likelihood walk (an unwritten slot read as a miss would silently
   // push the walk toward rejection).
   constexpr std::uint8_t kNotRun = 2;
@@ -138,15 +135,15 @@ SprtResult sprt_test_impl(const ta::System& sys, const TimeBoundedReach& prop,
   std::vector<std::uint8_t> outcome;
   for (std::uint64_t base = result.runs; base < opts.max_runs;
        base += outcome.size()) {
-    // Fault-injection site: a kDeadline fault here forces the watchdog's
-    // next budget poll to fire, interrupting the test at a batch boundary.
+    // Fault-injection site: a kDeadline fault here trips the executor's
+    // next budget poll, interrupting the test at a batch boundary.
     common::FaultInjector::site("smc.sprt.batch");
     const std::uint64_t n =
         std::min<std::uint64_t>(batch, opts.max_runs - base);
     outcome.assign(static_cast<std::size_t>(n), kNotRun);
     // Simulate the batch in parallel; outcome[k] is keyed by run index, so
     // the merged batch is independent of scheduling.
-    ex.for_each(
+    const common::StopReason stop = ex.for_each(
         base, base + n,
         [&](std::uint64_t i, exec::Executor::WorkerContext& ctx) {
           Simulator& sim = sims.at(ctx.worker_id);
@@ -156,12 +153,12 @@ SprtResult sprt_test_impl(const ta::System& sys, const TimeBoundedReach& prop,
           if (r.satisfied) ++ctx.telemetry->hits;
           outcome[static_cast<std::size_t>(i - base)] = r.satisfied ? 1 : 0;
         },
-        &cancel, telemetry);
+        budget, telemetry);
     // Walk the merged batch in run order — exactly the sequential SPRT.
     for (std::uint64_t k = 0; k < n; ++k) {
       if (outcome[static_cast<std::size_t>(k)] == kNotRun) {
-        // The budget fired mid-batch; everything from here on was skipped.
-        result.stop = watchdog.fired_reason();
+        // The budget tripped mid-batch; the walk ends at the first gap.
+        result.stop = stop;
         if (save_on_stop) save_walk();
         return result;
       }
@@ -177,22 +174,11 @@ SprtResult sprt_test_impl(const ta::System& sys, const TimeBoundedReach& prop,
       } else if (llr <= log_b) {
         result.verdict = SprtVerdict::kAccepted;  // evidence for H0: p > theta
       }
-      if (result.verdict != SprtVerdict::kInconclusive) {
-        // Early stop: cancel outstanding work instead of running to the cap.
-        cancel.cancel();
-        return result;
-      }
+      if (result.verdict != SprtVerdict::kInconclusive) return result;
       if (interval != 0 && ++since_save >= interval) {
         since_save = 0;
         save_walk();
       }
-    }
-    if (cancel.cancelled()) {
-      // The whole batch completed but the watchdog fired during or after it;
-      // stop before paying for another batch.
-      result.stop = watchdog.fired_reason();
-      if (save_on_stop) save_walk();
-      return result;
     }
   }
   // max_runs exhausted: the test is over (inconclusive), nothing to resume.

@@ -1,9 +1,11 @@
 #include "svc/registry.h"
 
+#include <chrono>
 #include <cstdio>
 #include <utility>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/pred.h"
 #include "cora/priced.h"
 #include "game/tiga.h"
@@ -237,6 +239,31 @@ Response response_from_result(const JobResult& jr, const std::string& token) {
     r.resume = token;
   }
   return r;
+}
+
+common::Budget request_budget(const Request& req,
+                              const common::CancelToken* cancel) {
+  common::Budget budget;
+  budget.with_cancel(cancel);
+  if (req.deadline_ms != 0) {
+    budget.with_deadline_after(std::chrono::milliseconds(req.deadline_ms));
+  }
+  if (req.memory_mb != 0) budget.with_memory_limit(req.memory_mb << 20);
+  return budget;
+}
+
+Response run_job(const Request& req, const PreparedJob& prepared,
+                 const common::Budget& budget, const ckpt::Options& checkpoint,
+                 const char* fault_site) {
+  core::PacingObserver pacing(req.throttle_us);
+  return common::governed(
+      [&] {
+        common::FaultInjector::site(fault_site);
+        return response_from_result(
+            prepared.run(budget, checkpoint, pacing.or_null()),
+            fingerprint_token(prepared.fingerprint));
+      },
+      unknown_response);
 }
 
 }  // namespace quanta::svc

@@ -81,8 +81,22 @@ std::string fingerprint_token(std::uint64_t fingerprint);
 
 /// Canonical JobResult → Response mapping: definite verdicts require
 /// completion; a budget-tripped job that saved a checkpoint carries `token`
-/// back as its resume handle. Used identically by the in-process execution
-/// path and the isolated worker, so both produce the same bytes.
+/// back as its resume handle.
 Response response_from_result(const JobResult& jr, const std::string& token);
+
+/// The budget a request asks for: its deadline (counted from now) and its
+/// memory ceiling, plus `cancel` when non-null.
+common::Budget request_budget(const Request& req,
+                              const common::CancelToken* cancel = nullptr);
+
+/// The one job runner, shared by the in-process daemon and the isolated
+/// worker so both produce the same bytes: runs `prepared` under `budget` and
+/// `checkpoint`, paced by the request's throttle_us, and maps the result
+/// through response_from_result. The FaultInjector site `fault_site` is
+/// visited just before the engine runs. Whatever common::governed absorbs
+/// (allocation failure, injected faults) becomes unknown_response(reason).
+Response run_job(const Request& req, const PreparedJob& prepared,
+                 const common::Budget& budget, const ckpt::Options& checkpoint,
+                 const char* fault_site);
 
 }  // namespace quanta::svc

@@ -1,6 +1,7 @@
 #include "svc/request.h"
 
 #include <cstring>
+#include <utility>
 
 namespace quanta::svc {
 
@@ -160,6 +161,21 @@ WireMap to_wire(const Request& r) {
   if (r.crash_signal != 0) m.set_u64("crash_signal", r.crash_signal);
   if (r.rlimit_mb != 0) m.set_u64("rlimit_mb", r.rlimit_mb);
   return m;
+}
+
+Response error_response(Status status, std::string why) {
+  Response r;
+  r.status = status;
+  r.error = std::move(why);
+  return r;
+}
+
+Response unknown_response(common::StopReason stop) {
+  Response r;
+  r.status = Status::kOk;
+  r.verdict = common::Verdict::kUnknown;
+  r.stop = stop;
+  return r;
 }
 
 WireMap to_wire(const Response& r) {

@@ -104,6 +104,15 @@ struct Response {
   std::uint64_t ticket = 0;  ///< journal ticket, only when asked for
 };
 
+/// The answer to a request that could not run: `status` (never kOk) with
+/// the reason in `error`.
+Response error_response(Status status, std::string why);
+
+/// The answer to a job that ran but was stopped before it could produce a
+/// result — budget trip, absorbed fault, cancellation, quarantine: status
+/// kOk, verdict kUnknown, and the StopReason.
+Response unknown_response(common::StopReason stop);
+
 /// Deterministic field order; cache hits re-serialize the stored Response
 /// with only `cached` flipped, so byte-level diffs ignore exactly one field.
 WireMap to_wire(const Response& r);

@@ -19,7 +19,6 @@
 
 #include "ckpt/delta.h"
 #include "common/fault.h"
-#include "core/observer.h"
 #include "svc/config.h"
 #include "svc/wire.h"
 
@@ -27,37 +26,13 @@ namespace quanta::svc {
 
 namespace {
 
-Response make_error(Status status, std::string why) {
-  Response r;
-  r.status = status;
-  r.error = std::move(why);
-  return r;
-}
-
 /// The deterministic poison-list answer: every quarantine hit (live or
 /// during journal replay) serves these exact bytes.
 Response quarantine_response() {
-  Response r;
-  r.status = Status::kOk;
-  r.verdict = common::Verdict::kUnknown;
-  r.stop = common::StopReason::kFault;
+  Response r = unknown_response(common::StopReason::kFault);
   r.error = "quarantined: repeated worker crashes on this query";
   return r;
 }
-
-/// Debug pacing for the CI smoke and the budget-trip tests: stretches a
-/// symbolic search so deadlines and SIGKILLs land mid-run (the service
-/// twin of tools/ckpt_smoke's Throttle).
-class Throttle final : public core::ExplorationObserver {
- public:
-  explicit Throttle(std::uint64_t us) : us_(us) {}
-  void on_state_explored(std::int32_t) override {
-    if (us_ > 0) std::this_thread::sleep_for(std::chrono::microseconds(us_));
-  }
-
- private:
-  std::uint64_t us_;
-};
 
 }  // namespace
 
@@ -340,14 +315,15 @@ void Server::run_recovery() {
     if (!req) {
       finish_ticket(
           pending.ticket, pending.fingerprint,
-          make_error(Status::kError, "journaled request unreadable: " + error));
+          error_response(Status::kError,
+                         "journaled request unreadable: " + error));
       continue;
     }
     req->hold_ms = 0;  // queue-occupancy drill knob, meaningless on replay
     const auto prepared = prepare_job(*req, &error);
     if (!prepared) {
       finish_ticket(pending.ticket, pending.fingerprint,
-                    make_error(Status::kBadRequest, error));
+                    error_response(Status::kBadRequest, error));
       continue;
     }
     if (supervisor_ != nullptr && req->use_quarantine &&
@@ -357,14 +333,7 @@ void Server::run_recovery() {
                     quarantine_response());
       continue;
     }
-    common::Budget budget;
-    budget.with_cancel(&recovery_cancel_);
-    if (req->deadline_ms != 0) {
-      budget.with_deadline_after(std::chrono::milliseconds(req->deadline_ms));
-    }
-    if (req->memory_mb != 0) {
-      budget.with_memory_limit(req->memory_mb << 20);
-    }
+    const common::Budget budget = request_budget(*req, &recovery_cancel_);
     ckpt::Options checkpoint;
     if (!cfg_.ckpt_dir.empty()) {
       checkpoint.path = cfg_.ckpt_dir + "/job-" + req->engine + "-" +
@@ -505,9 +474,10 @@ void Server::session_loop(Session* session) {
       // drop — the peer is alive, merely talking garbage.
       if (fs == FrameStatus::kTooLarge) {
         bad_requests_.fetch_add(1, std::memory_order_relaxed);
-        write_frame(session->fd,
-                    to_wire(make_error(Status::kBadRequest, "frame too large"))
-                        .to_json());
+        write_frame(
+            session->fd,
+            to_wire(error_response(Status::kBadRequest, "frame too large"))
+                .to_json());
       }
       break;
     }
@@ -523,12 +493,13 @@ WireMap Server::handle_payload(const std::string& payload) {
   const auto map = WireMap::parse_json(payload, &error);
   if (!map) {
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return to_wire(make_error(Status::kBadRequest, "malformed frame: " + error));
+    return to_wire(
+        error_response(Status::kBadRequest, "malformed frame: " + error));
   }
   const auto req = parse_request(*map, &error);
   if (!req) {
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return to_wire(make_error(Status::kBadRequest, error));
+    return to_wire(error_response(Status::kBadRequest, error));
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (req->engine == "svc") return handle_builtin(*req);
@@ -593,15 +564,15 @@ WireMap Server::handle_builtin(const Request& req) {
     return m;
   }
   bad_requests_.fetch_add(1, std::memory_order_relaxed);
-  return to_wire(make_error(Status::kBadRequest,
-                            "unknown svc builtin '" + req.query + "'"));
+  return to_wire(error_response(Status::kBadRequest,
+                                "unknown svc builtin '" + req.query + "'"));
 }
 
 WireMap Server::handle_ticket_fetch(const Request& req) {
   if (req.ticket == 0) {
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return to_wire(make_error(Status::kBadRequest,
-                              "builtin 'result' requires a nonzero 'ticket'"));
+    return to_wire(error_response(
+        Status::kBadRequest, "builtin 'result' requires a nonzero 'ticket'"));
   }
   std::string json;
   bool pending = false;
@@ -619,7 +590,8 @@ WireMap Server::handle_ticket_fetch(const Request& req) {
     const auto resp = map ? parse_response(*map, nullptr)
                           : std::optional<Response>();
     if (!resp) {
-      return to_wire(make_error(Status::kError, "stored answer unreadable"));
+      return to_wire(
+          error_response(Status::kError, "stored answer unreadable"));
     }
     // Same discipline as a cache hit: the stored canonical bytes with only
     // the `cached` flag flipped, so `cut -f3-` diffs stay byte-exact.
@@ -628,13 +600,13 @@ WireMap Server::handle_ticket_fetch(const Request& req) {
     return to_wire(answer);
   }
   if (pending) {
-    return to_wire(make_error(
+    return to_wire(error_response(
         Status::kError, "ticket " + std::to_string(req.ticket) +
                             " is still pending (replay or execution in "
                             "progress); retry shortly"));
   }
   bad_requests_.fetch_add(1, std::memory_order_relaxed);
-  return to_wire(make_error(
+  return to_wire(error_response(
       Status::kBadRequest,
       "unknown ticket " + std::to_string(req.ticket) +
           " (never issued, or its answer aged out of the journal)"));
@@ -643,23 +615,24 @@ WireMap Server::handle_ticket_fetch(const Request& req) {
 Response Server::run_analysis(const Request& req) {
   std::string error;
   const auto prepared = prepare_job(req, &error);
-  if (!prepared) return make_error(Status::kBadRequest, error);
+  if (!prepared) return error_response(Status::kBadRequest, error);
   if (!cfg_.enable_debug && (req.hold_ms != 0 || req.throttle_us != 0)) {
-    return make_error(Status::kBadRequest,
-                      "hold_ms/throttle_us require a --debug daemon");
+    return error_response(Status::kBadRequest,
+                          "hold_ms/throttle_us require a --debug daemon");
   }
   const bool has_fault_knobs =
       !req.fault.empty() || req.crash_signal != 0 || req.rlimit_mb != 0;
   if (has_fault_knobs && !cfg_.enable_debug) {
-    return make_error(Status::kBadRequest,
-                      "fault/crash_signal/rlimit_mb require a --debug daemon");
+    return error_response(
+        Status::kBadRequest,
+        "fault/crash_signal/rlimit_mb require a --debug daemon");
   }
   if (has_fault_knobs && supervisor_ == nullptr) {
     // An in-process daemon honoring these would crash itself — the knobs
     // exist to drill the containment layer, not to bypass it.
-    return make_error(Status::kBadRequest,
-                      "fault/crash_signal/rlimit_mb require an isolated "
-                      "daemon (QUANTAD_ISOLATE=1)");
+    return error_response(Status::kBadRequest,
+                          "fault/crash_signal/rlimit_mb require an isolated "
+                          "daemon (QUANTAD_ISOLATE=1)");
   }
 
   const std::string token = fingerprint_token(prepared->fingerprint);
@@ -671,14 +644,14 @@ Response Server::run_analysis(const Request& req) {
     checkpoint.resume = false;
     if (!req.resume.empty()) {
       if (req.resume != token) {
-        return make_error(Status::kBadRequest,
-                          "resume token does not match this query");
+        return error_response(Status::kBadRequest,
+                              "resume token does not match this query");
       }
       checkpoint.resume = true;
     }
   } else if (!req.resume.empty()) {
-    return make_error(Status::kBadRequest,
-                      "daemon runs without --ckpt-dir; resume unavailable");
+    return error_response(Status::kBadRequest,
+                          "daemon runs without --ckpt-dir; resume unavailable");
   }
 
   if (req.use_cache) {
@@ -721,14 +694,7 @@ Response Server::run_analysis(const Request& req) {
   // run, and JobQueue::shutdown() draining every admitted job guarantees
   // the wait always ends.
   common::CancelToken cancel;
-  common::Budget budget;
-  budget.with_cancel(&cancel);
-  if (req.deadline_ms != 0) {
-    budget.with_deadline_after(std::chrono::milliseconds(req.deadline_ms));
-  }
-  if (req.memory_mb != 0) {
-    budget.with_memory_limit(req.memory_mb << 20);
-  }
+  const common::Budget budget = request_budget(req, &cancel);
   std::promise<Response> done;
   std::future<Response> result = done.get_future();
   JobQueue::Job job;
@@ -749,7 +715,7 @@ Response Server::run_analysis(const Request& req) {
       // belt-and-braces path that keeps the session from deadlocking even
       // if it ever does throw.
       try {
-        done.set_value(make_error(Status::kError, "internal job failure"));
+        done.set_value(error_response(Status::kError, "internal job failure"));
       } catch (...) {
       }
     }
@@ -760,8 +726,8 @@ Response Server::run_analysis(const Request& req) {
     // ticket with the rejection answer so no future boot replays it.
     Response rejected =
         admission == Admission::kShutdown
-            ? make_error(Status::kShutdown, "daemon is shutting down")
-            : make_error(Status::kOverload, to_string(admission));
+            ? error_response(Status::kShutdown, "daemon is shutting down")
+            : error_response(Status::kOverload, to_string(admission));
     finish_ticket(ticket, prepared->fingerprint, rejected);
     if (req.want_ticket) rejected.ticket = ticket;
     return rejected;
@@ -829,29 +795,18 @@ Response Server::execute_job(const Request& req, const PreparedJob& prepared,
     }
   }
   jobs_executed_.fetch_add(1, std::memory_order_relaxed);
-  const std::string token = fingerprint_token(prepared.fingerprint);
+  if (supervisor_ == nullptr) {
+    return run_job(req, prepared, budget, checkpoint, "svc.job.run");
+  }
+  // Isolated path: the worker runs the same run_job; the supervisor owns
+  // crash containment and retry.
   return common::governed(
-      [&]() -> Response {
+      [&] {
         common::FaultInjector::site("svc.job.run");
-        if (supervisor_ != nullptr) {
-          // Isolated path: the worker owns budget polling, throttling and
-          // checkpointing; the supervisor owns crash containment and retry.
-          return supervisor_->execute(req, prepared.fingerprint, budget,
-                                      checkpoint);
-        }
-        Throttle throttle(req.throttle_us);
-        core::ExplorationObserver* observer =
-            req.throttle_us != 0 ? &throttle : nullptr;
-        return response_from_result(prepared.run(budget, checkpoint, observer),
-                                    token);
+        return supervisor_->execute(req, prepared.fingerprint, budget,
+                                    checkpoint);
       },
-      [&](common::StopReason reason) {
-        Response r;
-        r.status = Status::kOk;
-        r.verdict = common::Verdict::kUnknown;
-        r.stop = reason;
-        return r;
-      });
+      unknown_response);
 }
 
 Server::Stats Server::stats() const {

@@ -32,14 +32,6 @@ std::string describe_exit(int status) {
   return "died";
 }
 
-Response cancelled_response() {
-  Response r;
-  r.status = Status::kOk;
-  r.verdict = common::Verdict::kUnknown;
-  r.stop = common::StopReason::kCancelled;
-  return r;
-}
-
 }  // namespace
 
 Supervisor::Supervisor(SupervisorConfig cfg) : cfg_(std::move(cfg)) {
@@ -252,7 +244,9 @@ Response Supervisor::execute(const Request& req, std::uint64_t fingerprint,
   unsigned crashes = 0;
   for (;;) {
     Slot* slot = acquire();
-    if (slot == nullptr) return cancelled_response();
+    if (slot == nullptr) {
+      return unknown_response(common::StopReason::kCancelled);
+    }
     const std::string frame =
         make_job_frame(job, ck.path, ck.resume).to_json();
     DispatchOutcome out = dispatch(slot, frame, budget, job.deadline_ms);
@@ -261,14 +255,16 @@ Response Supervisor::execute(const Request& req, std::uint64_t fingerprint,
       case DispatchOutcome::Kind::kReplied:
         return out.response;
       case DispatchOutcome::Kind::kCancelled:
-        return cancelled_response();
+        return unknown_response(common::StopReason::kCancelled);
       case DispatchOutcome::Kind::kCrashed:
         break;
     }
     ++crashes;
     crashes_.fetch_add(1, std::memory_order_relaxed);
     if (cfg_.job_crashed) cfg_.job_crashed(fingerprint, out.detail);
-    if (shutdown_.load(std::memory_order_acquire)) return cancelled_response();
+    if (shutdown_.load(std::memory_order_acquire)) {
+      return unknown_response(common::StopReason::kCancelled);
+    }
     if (crashes > cfg_.retries) {
       bool inserted = false;
       {
@@ -278,10 +274,7 @@ Response Supervisor::execute(const Request& req, std::uint64_t fingerprint,
       if (inserted && cfg_.quarantine_changed) {
         cfg_.quarantine_changed(fingerprint, true);
       }
-      Response r;
-      r.status = Status::kOk;
-      r.verdict = common::Verdict::kUnknown;
-      r.stop = common::StopReason::kFault;
+      Response r = unknown_response(common::StopReason::kFault);
       r.error = "worker " + out.detail + "; query quarantined after " +
                 std::to_string(crashes) + " crashes";
       return r;

@@ -3,15 +3,11 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <new>
-#include <thread>
 
-#include "common/budget.h"
 #include "common/fault.h"
-#include "core/observer.h"
 #include "svc/registry.h"
 
 // Sanitizer shadow memory reserves terabytes of address space; a job-sized
@@ -93,25 +89,6 @@ class RlimitGuard {
   std::new_handler old_handler_ = nullptr;
 };
 
-/// Worker-side twin of the server's debug throttle (see server.cpp).
-class Throttle final : public core::ExplorationObserver {
- public:
-  explicit Throttle(std::uint64_t us) : us_(us) {}
-  void on_state_explored(std::int32_t) override {
-    if (us_ > 0) std::this_thread::sleep_for(std::chrono::microseconds(us_));
-  }
-
- private:
-  std::uint64_t us_;
-};
-
-Response error_response(Status status, std::string why) {
-  Response r;
-  r.status = status;
-  r.error = std::move(why);
-  return r;
-}
-
 WireMap run_one_job(const std::string& payload) {
   std::string error;
   const auto map = WireMap::parse_json(payload, &error);
@@ -144,30 +121,10 @@ WireMap run_one_job(const std::string& payload) {
   const auto prepared = prepare_job(*req, &error);
   if (!prepared) return to_wire(error_response(Status::kBadRequest, error));
 
-  common::Budget budget;
-  if (req->deadline_ms != 0) {
-    budget.with_deadline_after(std::chrono::milliseconds(req->deadline_ms));
-  }
-  if (req->memory_mb != 0) budget.with_memory_limit(req->memory_mb << 20);
+  const common::Budget budget = request_budget(*req);
   RlimitGuard rlimit(req->rlimit_mb, req->memory_mb);
-
-  Throttle throttle(req->throttle_us);
-  core::ExplorationObserver* observer =
-      req->throttle_us != 0 ? &throttle : nullptr;
-  const std::string token = fingerprint_token(prepared->fingerprint);
-  const Response resp = common::governed(
-      [&] {
-        common::FaultInjector::site("svc.worker.job");
-        return response_from_result(prepared->run(budget, checkpoint, observer),
-                                    token);
-      },
-      [&](common::StopReason reason) {
-        Response r;
-        r.status = Status::kOk;
-        r.verdict = common::Verdict::kUnknown;
-        r.stop = reason;
-        return r;
-      });
+  const Response resp =
+      run_job(*req, *prepared, budget, checkpoint, "svc.worker.job");
   // A per-job fault spec must not leak its remaining countdown into the
   // next job this worker serves (a crash drill that fired never gets here —
   // the process is already gone).

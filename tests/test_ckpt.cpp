@@ -745,7 +745,7 @@ TEST(CkptStatistical, MidBatchCancellationDiscardsThePartialBatch) {
   ckpt::Options ck;
   ck.path = path;
   common::CancelToken cancel;
-  cancel.cancel();  // watchdog fires before the first batch finishes
+  cancel.cancel();  // the executor's first budget poll stops the batch
   common::Budget budget;
   budget.with_cancel(&cancel);
   const auto interrupted = smc::estimate_probability_runs(
@@ -1251,7 +1251,7 @@ TEST(CkptSprt, CancelledTestSavesTheWalkAndResumesBitIdentically) {
 }
 
 TEST(CkptSprt, ForcedDeadlineInterruptsAtABatchBoundary) {
-  // The smc.sprt.batch fault site forces the watchdog's deadline mid-test;
+  // The smc.sprt.batch fault site forces the budget's deadline mid-test;
   // wherever the walk stops, the resumed test reproduces the reference.
   ta::System sys = exp_system(0.5);
   const auto prop = exp_done_within(2.0);

@@ -1,9 +1,9 @@
 // Tests for the parallel statistical execution runtime (src/exec): chunked
-// scheduling covers every index exactly once, exceptions propagate,
-// cancellation stops outstanding work, per-run RNG streams make estimates /
-// CDF series / SPRT verdicts bit-identical across worker counts, and the
-// telemetry adds up. The whole suite must be clean under
-// QUANTA_SANITIZE=thread (see .github/workflows/ci.yml).
+// scheduling covers every index exactly once, exceptions propagate, a
+// tripped budget stops outstanding work at the next run boundary, per-run
+// RNG streams make estimates / CDF series / SPRT verdicts bit-identical
+// across worker counts, and the telemetry adds up. The whole suite must be
+// clean under QUANTA_SANITIZE=thread (see .github/workflows/ci.yml).
 #include "exec/executor.h"
 
 #include <gtest/gtest.h>
@@ -17,8 +17,6 @@
 #include <thread>
 #include <stdexcept>
 #include <vector>
-
-#include "exec/watchdog.h"
 
 #include "common/fault.h"
 #include "common/rng.h"
@@ -82,20 +80,49 @@ TEST(ThreadPool, WorkerExceptionPropagatesAndPoolSurvives) {
 }
 
 TEST(ThreadPool, CancellationStopsOutstandingChunks) {
+  // Run k cancels the budget. Every worker polls before each run, so each
+  // worker finishes at most the run it was in: no more than k + workers runs
+  // start in total, and the reason is kCancelled.
   constexpr std::uint64_t kN = 1'000'000;
-  exec::Executor ex(4);
-  exec::CancellationToken cancel;
-  std::atomic<std::uint64_t> executed{0};
-  ex.for_each(
+  constexpr std::uint64_t kCancelAt = 1'000;
+  constexpr unsigned kWorkers = 4;
+  exec::Executor ex(kWorkers);
+  common::CancelToken cancel;
+  const common::Budget budget = common::Budget{}.with_cancel(&cancel);
+  std::atomic<std::uint64_t> started{0};
+  std::atomic<std::uint64_t> after_cancel{0};
+  const common::StopReason stop = ex.for_each(
       0, kN,
       [&](std::uint64_t, exec::Executor::WorkerContext&) {
-        if (executed.fetch_add(1, std::memory_order_relaxed) >= 100) {
+        if (cancel.cancelled()) {
+          after_cancel.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (started.fetch_add(1, std::memory_order_relaxed) == kCancelAt) {
           cancel.cancel();
         }
       },
-      &cancel);
-  EXPECT_LT(executed.load(), kN) << "cancellation did not stop the sweep";
-  EXPECT_GE(executed.load(), 100u);
+      budget);
+  EXPECT_EQ(stop, common::StopReason::kCancelled);
+  EXPECT_GT(started.load(), kCancelAt);
+  EXPECT_LE(started.load(), kCancelAt + kWorkers);
+  // Only runs already past their poll when the token fired may see it.
+  EXPECT_LT(after_cancel.load(), kWorkers);
+
+  // An expired deadline trips every worker's first poll: no body runs.
+  const common::Budget expired =
+      common::Budget{}.with_deadline_at(common::Budget::Clock::now() -
+                                        std::chrono::seconds(1));
+  started.store(0);
+  exec::RunTelemetry tel;
+  EXPECT_EQ(ex.for_each(
+                0, kN,
+                [&](std::uint64_t, exec::Executor::WorkerContext&) {
+                  started.fetch_add(1, std::memory_order_relaxed);
+                },
+                expired, &tel),
+            common::StopReason::kTimeLimit);
+  EXPECT_EQ(started.load(), 0u);
+  EXPECT_EQ(tel.runs_completed(), 0u);
 }
 
 TEST(ParallelReduce, CommutativeMergeIsWorkerCountInvariant) {
@@ -312,7 +339,8 @@ TEST(ThreadPool, ShutdownWithPendingWorkJoinsCleanly) {
   std::atomic<std::uint64_t> done{0};
   {
     exec::Executor ex(4);
-    exec::CancellationToken cancel;
+    common::CancelToken cancel;
+    const common::Budget budget = common::Budget{}.with_cancel(&cancel);
     std::thread canceller([&] {
       while (done.load(std::memory_order_relaxed) == 0) {
         std::this_thread::yield();
@@ -324,7 +352,7 @@ TEST(ThreadPool, ShutdownWithPendingWorkJoinsCleanly) {
         [&](std::uint64_t, exec::Executor::WorkerContext&) {
           done.fetch_add(1, std::memory_order_relaxed);
         },
-        &cancel);
+        budget);
     canceller.join();
     // Executor destroyed here with most of the range never claimed.
   }
@@ -337,7 +365,8 @@ TEST(ThreadPool, CancelVersusSubmitRaceStress) {
   // this is the test that would flag any unsynchronized pool state.
   exec::Executor ex(4);
   for (int round = 0; round < 50; ++round) {
-    exec::CancellationToken cancel;
+    common::CancelToken cancel;
+    const common::Budget budget = common::Budget{}.with_cancel(&cancel);
     std::atomic<std::uint64_t> seen{0};
     std::thread racer([&] { cancel.cancel(); });
     ex.for_each(
@@ -345,7 +374,7 @@ TEST(ThreadPool, CancelVersusSubmitRaceStress) {
         [&](std::uint64_t, exec::Executor::WorkerContext&) {
           seen.fetch_add(1, std::memory_order_relaxed);
         },
-        &cancel);
+        budget);
     racer.join();
     // Cancellation is advisory: anywhere from 0 to all runs may have landed,
     // but the pool must stay consistent for the next round.
@@ -371,7 +400,7 @@ TEST(Executor, TelemetryOutlivesTheExecutor) {
         [](std::uint64_t, exec::Executor::WorkerContext& ctx) {
           ctx.telemetry->sim_steps += 1;
         },
-        nullptr, &tel);
+        {}, &tel);
   }
   EXPECT_EQ(tel.runs_completed(), 1'000u);
   EXPECT_EQ(tel.sim_steps(), 1'000u);
@@ -455,40 +484,13 @@ TEST(ThreadPool, QuantaJobsUnsetFallsBackToHardwareConcurrency) {
   EXPECT_EQ(exec::default_worker_count(), hardware_fallback());
 }
 
-// ---- watchdog / cancel-token ownership ------------------------------------
-
-// Regression: the watchdog must never reset its target, and a token left
-// cancelled by run N must be reset by its owner or it stops run N+1 at the
-// very first poll. (Engines avoid this internally by creating a fresh
-// watchdog target per call — see the next test.)
-TEST(ExecWatchdog, WatchdogDoesNotResetTargetAcrossRuns) {
-  common::CancelToken external;
-  common::CancelToken target;
-  common::Budget watched;
-  watched.with_cancel(&external);
-  {
-    exec::Watchdog wd(watched, target);
-    external.cancel();
-    for (int i = 0; i < 2000 && !target.cancelled(); ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_TRUE(target.cancelled());
-    EXPECT_EQ(wd.fired_reason(), common::StopReason::kCancelled);
-  }
-  // The destructor joined the poll thread but left the target fired.
-  EXPECT_TRUE(target.cancelled());
-
-  // Run N+1 reusing the fired token is dead on arrival until reset().
-  common::Budget next;
-  next.with_cancel(&target);
-  EXPECT_EQ(next.poll(0), common::StopReason::kCancelled);
-  target.reset();
-  EXPECT_EQ(next.poll(0), common::StopReason::kCompleted);
-}
+// ---- cancel-token ownership -----------------------------------------------
 
 // Regression: a cancelled estimate must not poison the next estimate on the
-// same executor — the internal watchdog target is per-call, so after the
-// caller resets their own token the resumed run N+1 completes normally.
+// same executor. The engine never resets the caller's token, so the token
+// stays fired until its owner resets it; after that the rerun N+1 completes
+// normally. The cancellation is synchronous: a pre-cancelled budget stops
+// the call before its first run, whatever the machine load.
 TEST(ExecWatchdog, CancelledRunDoesNotPoisonTheNextRun) {
   auto tg = models::make_train_gate(2);
   auto prop = train_crosses(tg, 0, 30.0);
@@ -503,9 +505,15 @@ TEST(ExecWatchdog, CancelledRunDoesNotPoisonTheNextRun) {
                                      nullptr, b);
   EXPECT_EQ(aborted.verdict, common::Verdict::kUnknown);
   EXPECT_EQ(aborted.stop, common::StopReason::kCancelled);
-  EXPECT_LT(aborted.completed, 400u);
+  EXPECT_EQ(aborted.completed, 0u);
+  EXPECT_EQ(aborted.hits, 0u);
 
+  // The token is sticky: the engine left it fired, so run N+1 reusing it is
+  // dead on arrival until its owner resets it.
+  EXPECT_TRUE(user.cancelled());
+  EXPECT_EQ(b.poll(0), common::StopReason::kCancelled);
   user.reset();  // owner's duty between runs
+  EXPECT_EQ(b.poll(0), common::StopReason::kCompleted);
   auto resumed =
       smc::estimate_probability_runs(tg.system, prop, 400, 0.05, 7, ex,
                                      nullptr, b);

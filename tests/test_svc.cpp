@@ -1368,12 +1368,24 @@ ServerConfig isolated_config(int retries) {
 }  // namespace
 
 TEST_F(ServerTest, IsolatedColdQueryMatchesInProcessRun) {
+  // One cold query per engine: the worker and the in-process daemon share
+  // one job runner, so every engine's answer must be byte-identical.
+  std::vector<Request> requests = {
+      analysis_request("mc", "train-gate-3", "mutex"),
+      analysis_request("smc", "train-gate-3", "pr-cross"),
+      analysis_request("game", "train-game-2", "reach-cross"),
+      analysis_request("cora", "train-gate-3", "mincost-cross"),
+  };
+  for (Request& r : requests) r.use_cache = false;
+
   start(isolated_config(2));
   Client c1 = connect();
-  Request r = analysis_request("mc", "train-gate-3", "mutex");
-  r.use_cache = false;
-  const Response isolated = query(c1, r);
-  ASSERT_EQ(isolated.status, Status::kOk) << isolated.error;
+  std::vector<Response> isolated;
+  for (const Request& r : requests) {
+    isolated.push_back(query(c1, r));
+    ASSERT_EQ(isolated.back().status, Status::kOk)
+        << r.engine << ": " << isolated.back().error;
+  }
   EXPECT_TRUE(server_->stats().isolated);
   EXPECT_GE(server_->stats().supervisor.spawned, 1u);
 
@@ -1384,10 +1396,15 @@ TEST_F(ServerTest, IsolatedColdQueryMatchesInProcessRun) {
   cfg.enable_debug = true;
   start(cfg);
   Client c2 = connect();
-  const Response inproc = query(c2, r);
-  ASSERT_EQ(inproc.status, Status::kOk);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Response inproc = query(c2, requests[i]);
+    ASSERT_EQ(inproc.status, Status::kOk) << requests[i].engine;
+    EXPECT_EQ(inproc.stop, common::StopReason::kCompleted)
+        << requests[i].engine;
+    EXPECT_EQ(canonical_bytes(isolated[i]), canonical_bytes(inproc))
+        << requests[i].engine;
+  }
   EXPECT_FALSE(server_->stats().isolated);
-  EXPECT_EQ(canonical_bytes(isolated), canonical_bytes(inproc));
 }
 
 TEST_F(ServerTest, WorkerPoolReusesProcessesAcrossJobs) {

@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/budget.h"
@@ -65,18 +64,6 @@ mc::StatePredicate mutual_exclusion(const models::TrainGate& tg) {
       });
 }
 
-/// Slows the search down to human/CI timescales so a SIGKILL lands mid-run.
-class Throttle final : public core::ExplorationObserver {
- public:
-  explicit Throttle(long us) : us_(us) {}
-  void on_state_explored(std::int32_t) override {
-    if (us_ > 0) std::this_thread::sleep_for(std::chrono::microseconds(us_));
-  }
-
- private:
-  long us_;
-};
-
 const char* verdict_name(common::Verdict v) {
   switch (v) {
     case common::Verdict::kHolds: return "holds";
@@ -109,7 +96,7 @@ int main(int argc, char** argv) {
   std::string path;
   int trains = 4;
   std::uint64_t interval = 200;
-  long throttle_us = 0;
+  std::uint64_t throttle_us = 0;
   bool resume = true;
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -128,7 +115,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--interval") == 0) {
       interval = static_cast<std::uint64_t>(std::atoll(need("--interval")));
     } else if (std::strcmp(argv[i], "--throttle-us") == 0) {
-      throttle_us = std::atol(need("--throttle-us"));
+      const long us = std::atol(need("--throttle-us"));
+      throttle_us = us > 0 ? static_cast<std::uint64_t>(us) : 0;
     } else if (std::strcmp(argv[i], "--no-resume") == 0) {
       resume = false;
     } else {
@@ -145,7 +133,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  Throttle throttle(throttle_us);
+  core::PacingObserver pacing(throttle_us);
   ckpt::Options checkpoint;
   checkpoint.path = path;
   checkpoint.resume = resume;
@@ -157,7 +145,7 @@ int main(int argc, char** argv) {
     auto tg = models::make_train_gate(trains);
     mc::ReachOptions opts;
     opts.record_trace = false;
-    opts.observer = &throttle;
+    opts.observer = pacing.or_null();
     opts.limits.budget = budget;
     opts.checkpoint = checkpoint;
     const auto r = mc::check_invariant(tg.system, mutual_exclusion(tg), opts);
@@ -172,7 +160,7 @@ int main(int argc, char** argv) {
         common::loc_index_pred<ta::DigitalState>(tg.trains[0], tg.l_cross);
     core::SearchLimits limits;
     limits.budget = budget;
-    game::TimedGame g(tg.system, limits, checkpoint, &throttle);
+    game::TimedGame g(tg.system, limits, checkpoint, pacing.or_null());
     const auto r = g.solve_reachability(goal);
     line = {r.resume, r.verdict, r.stats,
             static_cast<long long>(r.winning_states)};
@@ -190,7 +178,7 @@ int main(int argc, char** argv) {
     cora::MinCostOptions opts;
     opts.limits.budget = budget;
     opts.checkpoint = checkpoint;
-    opts.observer = &throttle;
+    opts.observer = pacing.or_null();
     const auto r = cora::min_cost_reachability(tg.system, prices, goal, opts);
     line = {r.resume, r.verdict, r.stats, static_cast<long long>(r.cost)};
   }
